@@ -18,7 +18,7 @@ inline double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// The moment main() was entered: the origin of `setup_s`.
+/// The moment the process started: the origin of span timestamps.
 Clock::time_point process_start();
 
 struct Metric {
@@ -118,6 +118,39 @@ class ScopedSpan {
 /// Returns 0 when /proc does not report it.
 double peak_rss_mib(int pid = 0);
 
+/// This program's own executable, for spawning it again.
+std::string self_exe();
+
+/// Cold set-ups timed per run; `setup_s` is their median.
+constexpr int kColdSetups = 15;
+
+/// A child process with its stdout on a pipe.  The destructor kills and
+/// reaps it if it is still running, so no exit path leaves one behind.
+class ChildProcess {
+ public:
+  explicit ChildProcess(std::vector<std::string> argv);
+  ~ChildProcess() { stop(); }
+  ChildProcess(const ChildProcess&) = delete;
+  ChildProcess& operator=(const ChildProcess&) = delete;
+
+  [[nodiscard]] int pid() const { return pid_; }
+
+  /// The child's next stdout line; throws if it exits or stays silent for
+  /// `timeout_s`.
+  std::string read_line(double timeout_s = 30.0);
+
+  /// Wait up to `timeout_s` for the child to exit; true on exit status 0.
+  bool reap(double timeout_s = 20.0);
+
+ private:
+  void stop();
+
+  int pid_ = -1;
+  int out_fd_ = -1;
+  std::string buffered_;
+  std::string name_;
+};
+
 /// splitmix64: derives every seed and mix decision from the run's --seed.
 inline std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -160,5 +193,9 @@ Outcome run_events_scatter(const RunOptions& opt, double budget_s,
                            SpanRecorder& spans);
 Outcome run_serve_mixed(const RunOptions& opt, double budget_s,
                         SpanRecorder& spans);
+
+/// The child side of an in-process cold set-up: build the workload's World
+/// and first Simulation, print "ready" and return the exit status.
+int run_setup_only(const RunOptions& opt);
 
 }  // namespace perfbench

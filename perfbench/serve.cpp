@@ -11,15 +11,7 @@
 // After the load phase every served row is solved again in-process through
 // the library and must match bit for bit, and the daemon's event counters
 // must equal the rows' events.
-#include <fcntl.h>
-#include <poll.h>
-#include <signal.h>
-#include <spawn.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -37,8 +29,6 @@
 #include "io/deck_io.h"
 #include "net/client.h"
 #include "obs/json.h"
-
-extern char** environ;
 
 namespace perfbench {
 namespace {
@@ -62,18 +52,14 @@ Kind kind_of(std::uint64_t i) {
 }
 
 /// The deck of request i: golden-sized (80^2 cells, 400 histories, two
-/// timesteps) with a fresh seed; a new-geometry request widens the domain
-/// by a distinct hair so its World fingerprint is new to the run.  Domain
-/// requests take their seed from i alone: the daemon leaves their events
-/// out of its counters (see verify_session), and a failure kept in the
-/// benchmark must not depend on --seed.
+/// timesteps) with a fresh seed from (run seed, i); a new-geometry request
+/// widens the domain by a distinct hair so its World fingerprint is new to
+/// the run.
 neutral::ProblemDeck request_deck(std::uint64_t run_seed, std::uint64_t i) {
   neutral::ProblemDeck d = neutral::deck_by_name(kProblems[i % 3], 0.02, 1.0);
   d.n_particles = 400;
   d.n_timesteps = 2;
-  const std::uint64_t salt =
-      kind_of(i) == Kind::kDomains ? 0 : run_seed * 0x9E3779B97F4A7C15ULL;
-  d.seed = mix64(salt ^ (i + 1)) >> 1;
+  d.seed = mix64(run_seed * 0x9E3779B97F4A7C15ULL ^ (i + 1)) >> 1;
   if (kind_of(i) == Kind::kNewGeometry) {
     d.width_cm = d.height_cm = 100.0 + 0.01 * static_cast<double>(i / 8 + 1);
   }
@@ -122,102 +108,58 @@ class IndexDispenser {
   Clock::time_point start_;
 };
 
-/// neutrald as a child process.  The destructor kills and reaps it if it
-/// is still running, so no exit path leaves a daemon behind.
+/// neutrald as a child process, stopped by the destructor if no
+/// `shutdown` op ended it first.
 class Daemon {
  public:
-  Daemon(const std::string& binary, const std::string& trace_log) {
-    std::vector<std::string> args = {
-        binary, "--port", "0", "--workers", "2", "--threads-per-job", "1",
-        "--cache-mb", "64", "--quiet"};
-    if (!trace_log.empty()) {
-      args.push_back("--trace-log");
-      args.push_back(trace_log);
-    }
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    int fds[2];
-    if (::pipe2(fds, O_CLOEXEC) != 0) throw std::runtime_error("pipe2 failed");
-    out_fd_ = fds[0];
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_adddup2(&actions, fds[1], STDOUT_FILENO);
-    const int rc = ::posix_spawn(&pid_, binary.c_str(), &actions, nullptr,
-                                 argv.data(), environ);
-    posix_spawn_file_actions_destroy(&actions);
-    ::close(fds[1]);
-    if (rc != 0) {
-      pid_ = -1;
-      throw std::runtime_error("cannot spawn " + binary + ": " +
-                               std::strerror(rc));
-    }
-    try {
-      port_ = read_port();
-    } catch (...) {
-      stop();
-      throw;
-    }
-  }
-
-  ~Daemon() { stop(); }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] int pid() const { return pid_; }
-
-  /// Wait for the daemon to exit after a `shutdown` op; kill it after 20 s.
-  bool reap() {
-    for (int i = 0; i < 2000 && pid_ > 0; ++i) {
-      int status = 0;
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;
-        return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      }
-      ::usleep(10000);
-    }
-    return false;
-  }
-
- private:
-  void stop() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-    if (out_fd_ >= 0) ::close(out_fd_);
-    out_fd_ = -1;
-  }
-
-  /// The daemon always prints "neutrald listening on HOST:PORT (...)".
-  std::uint16_t read_port() {
-    std::string line;
-    const auto deadline = Clock::now() + std::chrono::seconds(30);
-    while (line.find('\n') == std::string::npos) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - Clock::now())
-                            .count();
-      if (left <= 0) throw std::runtime_error("neutrald did not start");
-      pollfd p{out_fd_, POLLIN, 0};
-      if (::poll(&p, 1, static_cast<int>(left)) <= 0) continue;
-      char buf[256];
-      const ssize_t n = ::read(out_fd_, buf, sizeof buf);
-      if (n <= 0) throw std::runtime_error("neutrald exited at start-up");
-      line.append(buf, static_cast<std::size_t>(n));
-    }
+  Daemon(const std::string& binary, const std::string& trace_log)
+      : child_(args(binary, trace_log)) {
+    // The daemon always prints "neutrald listening on HOST:PORT (...)".
+    const std::string line = child_.read_line();
     const auto colon = line.find(':', line.find("listening on"));
     if (colon == std::string::npos) {
       throw std::runtime_error("unexpected neutrald banner: " + line);
     }
-    return static_cast<std::uint16_t>(std::stoul(line.substr(colon + 1)));
+    port_ = static_cast<std::uint16_t>(std::stoul(line.substr(colon + 1)));
   }
 
-  pid_t pid_ = -1;
-  int out_fd_ = -1;
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] int pid() const { return child_.pid(); }
+  bool reap() { return child_.reap(); }
+
+ private:
+  static std::vector<std::string> args(const std::string& binary,
+                                       const std::string& trace_log) {
+    std::vector<std::string> a = {binary,       "--port",    "0",
+                                  "--workers",  "2",         "--threads-per-job",
+                                  "1",          "--cache-mb", "64",
+                                  "--quiet"};
+    if (!trace_log.empty()) {
+      a.push_back("--trace-log");
+      a.push_back(trace_log);
+    }
+    return a;
+  }
+
+  ChildProcess child_;
   std::uint16_t port_ = 0;
 };
+
+/// Median over kColdSetups fresh daemons of the time from spawning one to
+/// its first answered `ping`.
+double cold_setup_seconds(const RunOptions& opt) {
+  std::vector<double> v;
+  for (int i = 0; i < kColdSetups; ++i) {
+    const auto t0 = Clock::now();
+    Daemon daemon(opt.neutrald, "");
+    NeutralClient probe("127.0.0.1", daemon.port());
+    probe.ping();
+    v.push_back(seconds_between(t0, Clock::now()));
+    probe.shutdown_server();
+    if (!daemon.reap()) throw std::runtime_error("neutrald did not exit");
+  }
+  return median(v);
+}
 
 std::uint64_t field_u64(const neutral::net::Fields& f, const std::string& k) {
   const auto it = f.find(k);
@@ -227,7 +169,6 @@ std::uint64_t field_u64(const neutral::net::Fields& f, const std::string& k) {
 
 /// One daemon lifetime: spawn, load for `load_s`, scrape, shut down.
 struct Session {
-  double setup_s = 0.0;
   double load_wall_s = 0.0;
   double peak_rss_mib = 0.0;
   std::vector<Request> requests;
@@ -240,13 +181,7 @@ Session run_session(const RunOptions& opt, double load_s,
                     const std::string& trace_log, SpanRecorder& spans,
                     std::uint64_t first_index) {
   Session s;
-  const auto t0 = Clock::now();
   Daemon daemon(opt.neutrald, trace_log);
-  {
-    NeutralClient probe("127.0.0.1", daemon.port());
-    probe.ping();
-    s.setup_s = seconds_between(t0, Clock::now());
-  }
 
   std::vector<std::vector<Request>> done(kClients);
   std::vector<std::string> client_errors(kClients);
@@ -408,24 +343,28 @@ void verify_session(Outcome& out, Session& s) {
       field_u64(s.metrics, "neutral_events_collisions_total");
   const std::uint64_t censuses =
       field_u64(s.metrics, "neutral_events_censuses_total");
-  const Verdict c =
-      check_counter_totals(facets, collisions, censuses, row_events);
-  if (!c.ok && domain_events > 0 &&
-      check_counter_totals(facets, collisions, censuses,
-                           row_events - domain_events)
-          .ok) {
-    // The known fault: run_domains' round jobs never reach the engine's
-    // event counters, so every domain-decomposed request is missing from
-    // them — and nothing else is.  Each such request counts as failed.
+  const std::uint64_t counted = facets + collisions + censuses;
+  std::uint64_t expected = row_events;
+  if (domain_events > 0 && counted == row_events - domain_events) {
+    // The known fault (src/batch/domain.cpp): run_domains' round jobs never
+    // reach the engine's event counters, so every domain-decomposed request
+    // is missing from them.  Those requests are this run's failed
+    // operations; the check below still holds the daemon to every other
+    // row.  Once the fault is mended this branch is never taken.
+    const Verdict all =
+        check_counter_totals(facets, collisions, censuses, row_events);
+    std::fprintf(stderr, "perfbench: known fault: %s\n", all.message.c_str());
+    expected = row_events - domain_events;
     for (Request& r : s.requests) {
       if (r.ok && r.kind == Kind::kDomains) {
         r.uncounted = true;
         r.error = "served, but missing from neutral_events_*_total";
       }
     }
-  } else {
-    out.check(c.ok, c.message);
   }
+  const Verdict c =
+      check_counter_totals(facets, collisions, censuses, expected);
+  out.check(c.ok, c.message);
   out.check(s.clean_exit, "neutrald did not exit cleanly after shutdown");
   std::fprintf(stderr,
                "perfbench: %zu requests served in %.2f s, verified in-process "
@@ -484,6 +423,7 @@ Outcome run_serve_mixed(const RunOptions& opt, double budget_s,
                         SpanRecorder& spans) {
   Outcome out;
   if (!opt.trace) {
+    const double setup_s = cold_setup_seconds(opt);
     Session s = run_session(opt, budget_s, "", spans, 0);
     verify_session(out, s);
     count_requests(out, s);
@@ -492,7 +432,7 @@ Outcome run_serve_mixed(const RunOptions& opt, double budget_s,
       if (r.ok) events += r.result.rows.front().events;
     }
     Metrics& m = out.metrics;
-    m.put("setup_s", s.setup_s, "s");
+    m.put("setup_s", setup_s, "s");
     m.put("events_per_s", static_cast<double>(events) / s.load_wall_s,
           "events/s");
     m.put("peak_rss_mib", s.peak_rss_mib, "MiB");

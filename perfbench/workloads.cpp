@@ -1,7 +1,8 @@
 // In-process workloads: the stream deck under Over Particles and the
 // scatter deck under Over Events, driven through the library API.
 //
-// A run builds the World once (the cold set-up), warms up, then repeats
+// An untraced run first times cold set-ups, each in a fresh perfbench
+// process (--setup-only).  It then builds the World once, warms up and repeats
 // whole solves — Simulation construction (bank sourcing), every step(),
 // summary() — until its time budget is spent.  Each solve takes a fresh
 // deck seed derived from --seed, so the facet check pools independent
@@ -9,6 +10,8 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "checks.h"
@@ -107,32 +110,43 @@ constexpr NamedPhase kPhases[] = {
 struct Loop {
   std::vector<Solve> plain;
   std::vector<Solve> traced;
-  double setup_s = 0.0;
+  double setup_s = 0.0;  ///< median cold set-up (untraced runs)
   double world_build_s = 0.0;
   double wall_s = 0.0;
   std::shared_ptr<const neutral::World> world;
 };
 
-Loop run_loop(Outcome& out, const RunOptions& opt, SimulationConfig cfg,
-              double budget_s, SpanRecorder& spans, bool first_in_process) {
-  Loop loop;
-  std::uint64_t rep = 0;
-  const auto setup_start = first_in_process ? process_start() : Clock::now();
-  {
-    ScopedSpan setup_span(spans, "setup");
-    const auto w0 = Clock::now();
-    {
-      ScopedSpan ws(spans, "world_build", setup_span.id());
-      loop.world = neutral::build_world(cfg.deck);
+/// Median over kColdSetups fresh perfbench processes of the time from
+/// spawning one to its first Simulation built: process start, World
+/// construction and bank sourcing, each time in a process of its own.
+double cold_setup_seconds(const RunOptions& opt) {
+  std::vector<double> v;
+  for (int i = 0; i < kColdSetups; ++i) {
+    const auto t0 = Clock::now();
+    ChildProcess child({self_exe(), "--workload", opt.workload, "--seed",
+                        std::to_string(opt.seed), "--setup-only", "1"});
+    const std::string line = child.read_line();
+    v.push_back(seconds_between(t0, Clock::now()));
+    if (line != "ready" || !child.reap()) {
+      throw std::runtime_error("set-up child failed: " + line);
     }
+  }
+  return median(v);
+}
+
+Loop run_loop(Outcome& out, const RunOptions& opt, SimulationConfig cfg,
+              double budget_s, SpanRecorder& spans) {
+  Loop loop;
+  if (!opt.trace) loop.setup_s = cold_setup_seconds(opt);
+  {
+    ScopedSpan ws(spans, "world_build");
+    const auto w0 = Clock::now();
+    loop.world = neutral::build_world(cfg.deck);
     loop.world_build_s = seconds_between(w0, Clock::now());
-    cfg.deck.seed = solve_seed(opt.seed, rep++);
-    ScopedSpan bs(spans, "bank_source", setup_span.id());
-    Simulation first(cfg, loop.world);
-    loop.setup_s = seconds_between(setup_start, Clock::now());
   }
   // Warm-up: two untimed but checked solves fault in the tally pages and
   // settle the allocator before anything is timed.
+  std::uint64_t rep = 0;
   for (int i = 0; i < 2; ++i) {
     cfg.deck.seed = solve_seed(opt.seed, rep++);
     check_solve(out, run_solve(cfg, loop.world, spans, false));
@@ -237,6 +251,10 @@ SimulationConfig scatter_config() {
   return cfg;
 }
 
+SimulationConfig config_of(const std::string& workload) {
+  return workload == "events-scatter" ? scatter_config() : stream_config();
+}
+
 /// Where the timed micro-loops leave their results, so none is elided.
 volatile double g_sink = 0.0;
 
@@ -294,14 +312,23 @@ double time_rng_draw(std::uint64_t seed) {
 
 }  // namespace
 
+int run_setup_only(const RunOptions& opt) {
+  SimulationConfig cfg = config_of(opt.workload);
+  const auto world = neutral::build_world(cfg.deck);
+  cfg.deck.seed = solve_seed(opt.seed, 0);
+  const Simulation first(cfg, world);
+  std::printf("ready\n");
+  std::fflush(stdout);
+  return 0;
+}
+
 Outcome run_particles_stream(const RunOptions& opt, double budget_s,
                              SpanRecorder& spans) {
   Outcome out;
   SimulationConfig cfg = stream_config();
-  const bool own = opt.workload == "particles-stream";
   // Traced: the solve loop gets 60% of the budget, thread scaling the rest.
   const double loop_s = opt.trace ? 0.6 * budget_s : budget_s;
-  const Loop loop = run_loop(out, opt, cfg, loop_s, spans, own);
+  const Loop loop = run_loop(out, opt, cfg, loop_s, spans);
   put_loop_metrics(out, loop, opt.trace, spans);
 
   // Closed-form facet rate over every timed solve's histories.
@@ -377,8 +404,7 @@ Outcome run_events_scatter(const RunOptions& opt, double budget_s,
                            SpanRecorder& spans) {
   Outcome out;
   const SimulationConfig cfg = scatter_config();
-  const bool own = opt.workload == "events-scatter";
-  const Loop loop = run_loop(out, opt, cfg, budget_s, spans, own);
+  const Loop loop = run_loop(out, opt, cfg, budget_s, spans);
   put_loop_metrics(out, loop, opt.trace, spans);
 
   // Over Particles and Over Events on the same leading id span: the
